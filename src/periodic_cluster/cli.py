@@ -20,14 +20,14 @@ from .cluster import (
     edge_matrix,
     exchange_matrix,
     extended_exchange_matrix,
-    psi_infinity,
     quiver_of_cluster,
     summands,
 )
 from .explorer import bfs, canonical_key
 from .functions import PeriodicFunction, is_injective
+from .linalg import mat_vec, transpose
 from .mutation import mutate_tree
-from .quiver import SignFunction
+from .quiver import SignFunction, euler_matrix
 from .roots import classify_root, in_stability_domain, root_vector
 from .serialize import (
     FORMAT_TAG,
@@ -184,9 +184,9 @@ def cmd_matrices(args) -> int:
 def cmd_summands(args) -> int:
     tree = _read_tree(args.tree)
     require_valid(tree)
-    rows = []
-    for k, s in enumerate(summands(tree), start=1):
-        rows.append({"dim": list(s.dim), "kind": s.kind, "psi": list(psi_infinity(tree, k))})
+    et = transpose(euler_matrix(tree.eps))  # psi_k = E^t dim_k
+    rows = [{"dim": list(s.dim), "kind": s.kind, "psi": list(mat_vec(et, s.dim))}
+            for s in summands(tree)]
     if args.json:
         print(dumps({"format": FORMAT_TAG, "summands": rows}))
     else:
@@ -211,9 +211,10 @@ def cmd_classify(args) -> int:
         raise SchemaError("classify needs --tree, or --epsilon with --root i,j")
     eps = SignFunction.from_string(args.epsilon)
     parts = args.root.split(",")
-    if len(parts) != 2:
-        raise SchemaError("--root takes two comma-separated integers")
-    i, j = (int(p) for p in parts)
+    try:
+        i, j = (int(p) for p in parts)
+    except ValueError:
+        raise SchemaError("--root takes two comma-separated integers") from None
     kind = classify_root(eps, i, j)
     doc = {
         "format": FORMAT_TAG,

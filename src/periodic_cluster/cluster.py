@@ -1,10 +1,16 @@
 """Cluster-side data of a periodic tree.
 
 Each edge class carries a signed root vector; stacking them in canonical
-column order gives the edge matrix.  From it derive the exchange matrix,
+column order gives the edge matrix Γ.  From it derive the exchange matrix,
 its extended form with coefficient rows, dimension vectors of the summands
 attached to the edges, and the quiver of the cluster.  All arithmetic is
 exact: integers and fractions only.
+
+Production path: summands and the dimension matrix come from one inverse
+of Γ, whose row k is psi_k (c-/g-vector duality), and from E^{-t}, cached
+per sign function by `projective_roots`.  Oracles, which only cross-check:
+`psi_infinity` (union-find over heights), the triple product Γ^t (E^t - E) Γ
+in `exchange_matrix`, and the slot rule in `quiver_of_cluster`.
 """
 
 from __future__ import annotations
@@ -14,15 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .functions import PeriodicFunction, f_map, function_combination
-from .linalg import (
-    dot,
-    from_columns,
-    inverse,
-    mat_mul,
-    mat_vec,
-    scale,
-    transpose,
-)
+from .linalg import dot, from_columns, inverse, mat_mul, scale, transpose
 from .mutation import mutate_tree
 from .quiver import PLUS, euler_matrix, projective_roots
 from .roots import root_vector
@@ -113,8 +111,8 @@ def c_vectors(tree: PeriodicTree) -> tuple[tuple[int, ...], ...]:
 
 
 def dimension_matrix(tree: PeriodicTree):
-    """Columns are the dimension vectors of the cluster summands."""
-    return transpose(inverse(mat_mul(euler_matrix(tree.eps), edge_matrix(tree))))
+    """Columns are the dimension vectors of the cluster summands: E^{-t} Γ^{-t}."""
+    return transpose(mat_mul(inverse(edge_matrix(tree)), projective_roots(tree.eps)))
 
 
 class _AffineUnionFind:
@@ -207,34 +205,35 @@ def psi_infinity(tree: PeriodicTree, k: int) -> tuple[int, ...]:
 
 
 def summand(tree: PeriodicTree, k: int) -> ClusterSummand:
-    """Dimension vector and kind of the summand attached to edge k.
-
-    The kind follows the pairing of the dimension vector with the null
-    root, which equals sum(psi): positive means preprojective, zero means
-    regular, negative means preinjective unless the negated dimension
-    vector is projective, in which case the summand is a shifted
-    projective.
-    """
-    eps = tree.eps
-    psi = psi_infinity(tree, k)
-    et_inv = inverse(transpose(euler_matrix(eps)))
-    dim = mat_vec(et_inv, psi)
-    total = sum(psi)
-    if total > 0:
-        kind = PREPROJECTIVE_SUMMAND
-    elif total == 0:
-        kind = REGULAR_SUMMAND
-    else:
-        negated = tuple(-x for x in dim)
-        if negated in projective_roots(eps):
-            kind = SHIFTED_PROJECTIVE
-        else:
-            kind = PREINJECTIVE_SUMMAND
-    return ClusterSummand(dim, kind)
+    """Dimension vector and kind of the summand attached to edge k."""
+    if not 1 <= k <= tree.n:
+        raise ValueError(f"edge index {k} out of range 1..{tree.n}")
+    return summands(tree)[k - 1]
 
 
 def summands(tree: PeriodicTree) -> tuple[ClusterSummand, ...]:
-    return tuple(summand(tree, k) for k in range(1, tree.n + 1))
+    """Dimension vectors and kinds of all summands, from one inverse of Γ.
+
+    Row k of Γ^{-1} is psi_k and dim_k = E^{-t} psi_k.  The kind follows
+    the pairing of dim_k with the null root, which equals sum(psi_k):
+    positive means preprojective, zero regular, negative preinjective
+    unless -dim_k is projective, which makes it a shifted projective.
+    """
+    projectives = projective_roots(tree.eps)
+    psis = inverse(edge_matrix(tree))
+    out = []
+    for psi, dim in zip(psis, mat_mul(psis, projectives)):
+        total = sum(psi)
+        if total > 0:
+            kind = PREPROJECTIVE_SUMMAND
+        elif total == 0:
+            kind = REGULAR_SUMMAND
+        elif tuple(-x for x in dim) in projectives:
+            kind = SHIFTED_PROJECTIVE
+        else:
+            kind = PREINJECTIVE_SUMMAND
+        out.append(ClusterSummand(dim, kind))
+    return tuple(out)
 
 
 def _slot_cycles(tree: PeriodicTree) -> dict[int, list[int | None]]:

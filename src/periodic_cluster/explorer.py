@@ -255,7 +255,9 @@ def bfs(
                 depth[other] = d + 1
                 next_frontier.append(other)
         frontier = next_frontier
-    return ExchangeGraph(nodes=nodes, arcs=tuple(sorted(arcs)), depth=depth)
+    # max_nodes can leave mutations whose result was never added
+    kept = sorted(a for a in arcs if a[0] in nodes and a[2] in nodes)
+    return ExchangeGraph(nodes=nodes, arcs=tuple(kept), depth=depth)
 
 
 def _run_battery(tree: PeriodicTree, key: str) -> None:

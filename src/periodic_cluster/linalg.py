@@ -6,6 +6,7 @@ where a caller needs them).  Everything here is exact; floats never appear.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -34,10 +35,6 @@ def mat_vec(a: Matrix, v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v: Sequence, a: Matrix) -> tuple:
-    return tuple(sum(x * y for x, y in zip(v, col)) for col in transpose(a))
-
-
 def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
@@ -46,65 +43,79 @@ def scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def column(a: Matrix, j: int) -> tuple:
     return tuple(row[j] for row in a)
-
-
-def columns(a: Matrix) -> tuple:
-    return transpose(a)
 
 
 def from_columns(cols: Sequence[Sequence]) -> Matrix:
     return transpose(freeze(cols))
 
 
-def determinant(a: Matrix) -> Fraction:
-    """Determinant by fraction-free style elimination over Fraction."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
+def _integral(a: Matrix) -> tuple[list[list[int]], int]:
+    """Rows of D*a as int lists, with D the least common denominator."""
+    if all(type(x) is int for row in a for x in row):
+        return [list(row) for row in a], 1
     rows = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * d) for x in row] for row in rows], d
+
+
+def _eliminate(rows: list[list[int]], n: int, jordan: bool) -> int:
+    """Fraction-free (Bareiss) elimination on the first n columns, in place.
+
+    Pivots are the least nonzero candidates in absolute value.  jordan=True
+    also clears above each pivot, leaving the last pivot p on the diagonal
+    and p*a^{-1} to its right.  Returns the determinant of the n columns.
+    """
+    prev, sign = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
+        candidates = [r for r in range(col, n) if rows[r][col]]
+        if not candidates:
+            return 0
+        pivot = min(candidates, key=lambda r: abs(rows[r][col]))
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+            sign = -sign
+        prow = rows[col][col:]
+        p = prow[0]
+        for r in range(0 if jordan else col + 1, n):
+            row = rows[r]
+            m = row[col]
+            if r == col or (m == 0 and p == prev):
+                continue
+            if m == 0:
+                row[col:] = [p * x // prev for x in row[col:]]
+            elif prev == 1:
+                row[col:] = [p * x - m * y for x, y in zip(row[col:], prow)]
+            else:
+                row[col:] = [(p * x - m * y) // prev for x, y in zip(row[col:], prow)]
+        prev = p
+    return sign * prev
+
+
+def determinant(a: Matrix) -> Fraction:
+    """Determinant by fraction-free elimination over the integers."""
+    rows, d = _integral(a)
+    return Fraction(_eliminate(rows, len(a), jordan=False), d ** len(a))
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; entries come back as ints when integral."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination over the integers.
+
+    A Fraction input is scaled to ints first: a^{-1} = D (D a)^{-1}.
+    Entries come back as ints when integral and as Fractions otherwise.
+    """
     n = len(a)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    out = []
-    for row in rows:
-        out.append(tuple(int(x) if x.denominator == 1 else x for x in row[n:]))
-    return tuple(out)
+    rows, d = _integral(a)
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(n))
+    if _eliminate(rows, n, jordan=True) == 0:
+        raise ValueError("matrix is singular")
+    p = rows[-1][n - 1] if n else 1
+    return tuple(
+        tuple(Fraction(d * x, p) if d * x % p else d * x // p for x in row[n:])
+        for row in rows
+    )
 
 
 def is_skew_symmetric(a: Matrix) -> bool:

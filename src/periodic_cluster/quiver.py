@@ -11,6 +11,7 @@ a double arrow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .linalg import Matrix
@@ -82,10 +83,12 @@ def euler_form(e: Matrix, x, y):
     return linalg.dot(x, linalg.mat_vec(e, y))
 
 
+@lru_cache(maxsize=256)
 def projective_roots(eps: SignFunction) -> tuple[tuple[int, ...], ...]:
-    """Columns of (E^t)^{-1}; the j-th one satisfies <p_j, x> = x_j."""
-    et_inv = linalg.inverse(linalg.transpose(euler_matrix(eps)))
-    return linalg.columns(et_inv)
+    """Columns of (E^t)^{-1}, which are the rows of E^{-1}; the j-th one
+    satisfies <p_j, x> = x_j.  Cached, so E is inverted once per eps.
+    """
+    return linalg.inverse(euler_matrix(eps))
 
 
 def null_root(n: int) -> tuple[int, ...]:

@@ -176,6 +176,11 @@ def test_classify_needs_arguments(capsys):
     assert main(["classify", "--epsilon", "-++", "--root", "1"]) == 2
 
 
+def test_classify_root_not_integer_is_parse_error(capsys):
+    assert main(["classify", "--epsilon", "-++", "--root", "1,x"]) == 2
+    assert "--root" in capsys.readouterr().err
+
+
 def test_bfs_text(capsys):
     assert main(["bfs", "--epsilon", "-++", "--depth", "2"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 """Edge matrices, exchange matrices, summands, quivers, wall points."""
 
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from periodic_cluster import (
     UP,
     ZERO,
     PeriodicTree,
+    SignFunction,
     c_vectors,
     classify_slope,
     dimension_matrix,
@@ -25,17 +27,24 @@ from periodic_cluster import (
     fz_mutate,
     in_region,
     initial_tree,
+    projective_roots,
     psi_infinity,
     quiver_of_cluster,
+    summand,
     summands,
     tree_from_function,
+    tree_to_dict,
 )
+from periodic_cluster.cli import main
 from periodic_cluster.linalg import (
     column,
     dot,
+    from_columns,
     identity,
+    inverse,
     is_skew_symmetric,
     mat_mul,
+    mat_vec,
     transpose,
 )
 
@@ -202,3 +211,51 @@ def test_face_point_sits_on_exactly_one_wall(fig1):
             if j != k:
                 assert dot(y, column(gamma, j - 1)) > 0
         assert not in_region(fig1, pi)
+
+
+def _summand_per_edge(tree, k):
+    """Edge k's summand the long way: union-find psi, then E^{-t} psi."""
+    psi = psi_infinity(tree, k)
+    dim = mat_vec(inverse(transpose(euler_matrix(tree.eps))), psi)
+    if sum(psi) > 0:
+        kind = PREPROJECTIVE_SUMMAND
+    elif sum(psi) == 0:
+        kind = REGULAR_SUMMAND
+    elif tuple(-x for x in dim) in projective_roots(tree.eps):
+        kind = SHIFTED_PROJECTIVE
+    else:
+        kind = PREINJECTIVE_SUMMAND
+    return dim, kind
+
+
+def _seeded_trees(seed, periods):
+    rng = random.Random(seed)
+    for n in periods:
+        for _ in range(3):
+            signs = [rng.choice((1, -1)) for _ in range(n - 2)] + [1, -1]
+            rng.shuffle(signs)
+            yield tree_from_function(SignFunction(tuple(signs)), random_injective(rng, n))
+
+
+def test_summands_match_per_edge_derivation():
+    for t in _seeded_trees(31, range(2, 11)):
+        expected = [_summand_per_edge(t, k) for k in range(1, t.n + 1)]
+        assert [(s.dim, s.kind) for s in summands(t)] == expected
+        for k in range(1, t.n + 1):
+            assert tuple(summand(t, k)) == expected[k - 1]
+        assert dimension_matrix(t) == from_columns([dim for dim, _ in expected])
+    with pytest.raises(ValueError):
+        summand(t, t.n + 1)
+    with pytest.raises(ValueError):
+        summand(t, 0)
+
+
+def test_cli_summands_psi_matches_union_find(tmp_path, capsys):
+    for i, t in enumerate(_seeded_trees(32, (3, 5, 8))):
+        path = tmp_path / f"t{i}.json"
+        path.write_text(json.dumps(tree_to_dict(t)))
+        assert main(["summands", "--tree", str(path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["summands"]
+        assert [tuple(r["psi"]) for r in rows] == [
+            psi_infinity(t, k) for k in range(1, t.n + 1)
+        ]

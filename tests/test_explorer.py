@@ -95,6 +95,16 @@ def test_bfs_node_cap_and_depth_errors():
         bfs("-+", -1)
 
 
+def test_bfs_node_cap_keeps_arcs_inside_the_graph():
+    full = bfs("-++", 2, verify=False).arcs
+    for cap in (0, 1, 4):
+        g = bfs("-++", 2, max_nodes=cap, verify=False)
+        for a, _, b in g.arcs:
+            assert a in g.nodes and b in g.nodes
+        # no arc between retained nodes is lost
+        assert g.arcs == tuple(x for x in full if x[0] in g.nodes and x[2] in g.nodes)
+
+
 def test_descent_reaches_fig1(fig1):
     got = mutation_descent("-++", PeriodicFunction((5, 1, 0), 3))
     assert got.edges == fig1.edges

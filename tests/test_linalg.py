@@ -99,3 +99,55 @@ def test_mat_vec_against_dot(v):
 
 def test_scale():
     assert scale(((1, 2), (3, 4)), -1) == ((-1, -2), (-3, -4))
+
+
+def _singular_by_fractions(a):
+    """Reference test for singularity: plain Gaussian elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    n = len(rows)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return True
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return False
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square int matrices, n <= 8; some have a row forced dependent."""
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return freeze(rows)
+
+
+@given(integer_matrices(), st.lists(st.integers(1, 6), min_size=8, max_size=8))
+def test_inverse_random_integer_matrices(a, denoms):
+    n = len(a)
+    if _singular_by_fractions(a):
+        assert determinant(a) == 0
+        with pytest.raises(ValueError, match="singular"):
+            inverse(a)
+        return
+    inv = inverse(a)
+    assert mat_mul(inv, a) == identity(n)
+    assert mat_mul(a, inv) == identity(n)
+    # Rows scaled by 1/d_i: a Fraction input whose denominators differ.
+    d = denoms[:n]
+    b = tuple(tuple(Fraction(x, di) for x in row) for row, di in zip(a, d))
+    inv_b = inverse(b)
+    assert inv_b == tuple(tuple(x * dj for x, dj in zip(row, d)) for row in inv)
+    assert mat_mul(inv_b, b) == identity(n)
+    for row in inv + inv_b:
+        for x in row:
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    det_scale = 1
+    for di in d:
+        det_scale *= di
+    assert determinant(b) == determinant(a) / det_scale
