@@ -6,198 +6,24 @@ the attached integer matrices and summand data (cluster), and region
 membership plus exchange-graph exploration (roots, explorer).  All
 computation is over int and fractions.Fraction; there is no float
 anywhere in the core.
+
+The public API is the union of the submodules' ``__all__`` lists.
 """
 
-from .cluster import (
-    PREINJECTIVE_SUMMAND,
-    PREPROJECTIVE_SUMMAND,
-    REGULAR_SUMMAND,
-    SHIFTED_PROJECTIVE,
-    ClusterSummand,
-    ExtendedExchangeMatrix,
-    c_vectors,
-    dimension_matrix,
-    edge_matrix,
-    exchange_matrix,
-    extended_exchange_matrix,
-    face_point,
-    fz_mutate,
-    psi_infinity,
-    quiver_of_cluster,
-    summand,
-    summands,
-)
-from .explorer import (
-    BatteryFailure,
-    DescentExhausted,
-    ExchangeGraph,
-    NonGenericFunctionError,
-    bfs,
-    canonical_key,
-    invariant_battery,
-    mutation_descent,
-)
-from .functions import (
-    PeriodicFunction,
-    f_map,
-    function_combination,
-    is_injective,
-    pairing,
-)
-from .mutation import (
-    MutationResult,
-    check_mutation_consistency,
-    mutate_edge_vectors,
-    mutate_tree,
-)
-from .quiver import (
-    MINUS,
-    PLUS,
-    SignFunction,
-    euler_form,
-    euler_matrix,
-    null_root,
-    projective_roots,
-)
-from .roots import (
-    BOUNDARY,
-    INTERIOR,
-    NOT_A_ROOT,
-    NULL_MULTIPLE,
-    OUTSIDE,
-    PREINJECTIVE,
-    PREPROJECTIVE,
-    REGULAR,
-    REAL_SCHUR_TYPES,
-    classify_root,
-    in_stability_domain,
-    interior_witness,
-    pi_from_vector,
-    root_vector,
-    subroots,
-)
-from .serialize import (
-    FORMAT_TAG,
-    SchemaError,
-    dumps,
-    function_from_dict,
-    function_to_dict,
-    matrix_to_lists,
-    parse_rational,
-    rational_to_str,
-    tree_from_dict,
-    tree_to_dict,
-)
-from .tree import (
-    DOWN,
-    NEGATIVE,
-    POSITIVE,
-    UP,
-    ZERO,
-    Edge,
-    Extrema,
-    PeriodicTree,
-    Violation,
-    classify_slope,
-    in_region,
-    infinite_path_edges,
-    infinite_path_gains,
-    initial_tree,
-    internal_extrema,
-    leaves,
-    require_valid,
-    synthesize_morphism,
-    tree_from_function,
-    validate,
-)
+from . import cluster, explorer, functions, mutation, quiver, roots, serialize, tree
+from .cluster import *  # noqa: F401,F403
+from .explorer import *  # noqa: F401,F403
+from .functions import *  # noqa: F401,F403
+from .mutation import *  # noqa: F401,F403
+from .quiver import *  # noqa: F401,F403
+from .roots import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .tree import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY",
-    "BatteryFailure",
-    "ClusterSummand",
-    "DOWN",
-    "DescentExhausted",
-    "Edge",
-    "ExchangeGraph",
-    "ExtendedExchangeMatrix",
-    "Extrema",
-    "FORMAT_TAG",
-    "INTERIOR",
-    "MINUS",
-    "MutationResult",
-    "NEGATIVE",
-    "NOT_A_ROOT",
-    "NULL_MULTIPLE",
-    "NonGenericFunctionError",
-    "OUTSIDE",
-    "PLUS",
-    "POSITIVE",
-    "PREINJECTIVE",
-    "PREINJECTIVE_SUMMAND",
-    "PREPROJECTIVE",
-    "PREPROJECTIVE_SUMMAND",
-    "PeriodicFunction",
-    "PeriodicTree",
-    "REAL_SCHUR_TYPES",
-    "REGULAR",
-    "REGULAR_SUMMAND",
-    "SHIFTED_PROJECTIVE",
-    "SchemaError",
-    "SignFunction",
-    "UP",
-    "Violation",
-    "ZERO",
-    "bfs",
-    "c_vectors",
-    "canonical_key",
-    "check_mutation_consistency",
-    "classify_root",
-    "classify_slope",
-    "dimension_matrix",
-    "dumps",
-    "edge_matrix",
-    "euler_form",
-    "euler_matrix",
-    "exchange_matrix",
-    "extended_exchange_matrix",
-    "f_map",
-    "face_point",
-    "function_combination",
-    "function_from_dict",
-    "function_to_dict",
-    "fz_mutate",
-    "in_region",
-    "in_stability_domain",
-    "infinite_path_edges",
-    "infinite_path_gains",
-    "initial_tree",
-    "interior_witness",
-    "internal_extrema",
-    "invariant_battery",
-    "is_injective",
-    "leaves",
-    "matrix_to_lists",
-    "mutate_edge_vectors",
-    "mutate_tree",
-    "mutation_descent",
-    "null_root",
-    "pairing",
-    "parse_rational",
-    "pi_from_vector",
-    "projective_roots",
-    "psi_infinity",
-    "quiver_of_cluster",
-    "rational_to_str",
-    "require_valid",
-    "root_vector",
-    "subroots",
-    "summand",
-    "summands",
-    "synthesize_morphism",
-    "tree_from_dict",
-    "tree_from_function",
-    "tree_to_dict",
-    "validate",
+    name
+    for module in (cluster, explorer, functions, mutation, quiver, roots, serialize, tree)
+    for name in module.__all__
 ]

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 
 from .cluster import (
     c_vectors,
@@ -24,7 +22,7 @@ from .cluster import (
     summands,
 )
 from .explorer import bfs, canonical_key
-from .functions import PeriodicFunction, is_injective
+from .functions import PeriodicFunction, _integerized, collision, is_injective
 from .linalg import mat_vec, transpose
 from .mutation import mutate_tree
 from .quiver import SignFunction, euler_matrix
@@ -66,23 +64,6 @@ def _parse_pi(pi_text: str, m_text: str | None) -> PeriodicFunction:
     return PeriodicFunction(values, parse_rational(m_text))
 
 
-def _collision(pi: PeriodicFunction) -> tuple[int, int]:
-    """Least pair of indices where an non-injective pi collides."""
-    n = pi.n
-    if pi.m == 0:
-        return (1, 1 + n)
-    pairs = []
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            t = Fraction(pi.values[u - 1] - pi.values[v - 1]) / Fraction(pi.m)
-            if t.denominator != 1:
-                continue
-            j = v + t.numerator * n
-            if j != u:
-                pairs.append((min(u, j), max(u, j)))
-    return min(pairs)
-
-
 def _print_matrix(label: str, matrix) -> None:
     print(f"{label}:")
     for row in matrix_to_lists(matrix):
@@ -113,7 +94,7 @@ def cmd_from_function(args) -> int:
     eps = SignFunction.from_string(args.epsilon)
     pi = _parse_pi(args.pi, args.m)
     if not is_injective(pi):
-        i, j = _collision(pi)
+        i, j = collision(pi)
         print(f"non-injective: pi({i}) = pi({j})", file=sys.stderr)
         return 1
     tree = tree_from_function(eps, pi)
@@ -284,12 +265,8 @@ def _svg(tree, pi: PeriodicFunction) -> str:
             a, b = e.left + t * n, e.right + t * n
             segments.append((a, b))
             xs_used.update((a, b))
-    heights = {k: Fraction(pi.at(k)) for k in xs_used}
-
-    denom = 1
-    for h in heights.values():
-        denom = denom * h.denominator // math.gcd(denom, h.denominator)
-    scaled = {k: int(h * denom) for k, h in heights.items()}
+    xs = sorted(xs_used)
+    scaled = dict(zip(xs, _integerized([pi.at(k) for k in xs])))
     y_min, y_max = min(scaled.values()), max(scaled.values())
     span = y_max - y_min
     margin = max(1, -(-span // 20))

@@ -24,7 +24,7 @@ from .linalg import dot, from_columns, inverse, mat_mul, scale, transpose
 from .mutation import mutate_tree
 from .quiver import PLUS, euler_matrix, projective_roots
 from .roots import root_vector
-from .tree import UP, PeriodicTree, synthesize_morphism
+from .tree import UP, PeriodicTree, _OffsetUnionFind, synthesize_morphism
 
 __all__ = [
     "PREPROJECTIVE_SUMMAND",
@@ -115,57 +115,6 @@ def dimension_matrix(tree: PeriodicTree):
     return transpose(mat_mul(inverse(edge_matrix(tree)), projective_roots(tree.eps)))
 
 
-class _AffineUnionFind:
-    """Union-find whose offsets are affine expressions c + d*mu."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.offset = [(Fraction(0), Fraction(0))] * (n + 1)
-        self.mu: Fraction | None = None
-
-    def find(self, v: int):
-        path = []
-        while self.parent[v] != v:
-            path.append(v)
-            v = self.parent[v]
-        c = d = Fraction(0)
-        for u in reversed(path):
-            c += self.offset[u][0]
-            d += self.offset[u][1]
-            self.parent[u] = v
-            self.offset[u] = (c, d)
-        if path:
-            return v, self.offset[path[0]]
-        return v, (Fraction(0), Fraction(0))
-
-    def _resolve(self, mu: Fraction) -> None:
-        if self.mu is None:
-            self.mu = mu
-        elif self.mu != mu:
-            raise ValueError("inconsistent height constraints")
-
-    def merge(self, a: int, b: int, c: Fraction, d: Fraction) -> None:
-        """Impose height(b) = height(a) + c + d*mu."""
-        ra, (ca, da) = self.find(a)
-        rb, (cb, db) = self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.offset[rb] = (ca + c - cb, da + d - db)
-            return
-        rc, rd = ca + c - cb, da + d - db
-        if rd == 0:
-            if rc != 0:
-                raise ValueError("inconsistent height constraints")
-        else:
-            self._resolve(Fraction(-rc, 1) / rd)
-
-    def value(self, v: int) -> Fraction:
-        if self.mu is None:
-            raise ValueError("height slope left undetermined")
-        _, (c, d) = self.find(v)
-        return c + d * self.mu
-
-
 def psi_infinity(tree: PeriodicTree, k: int) -> tuple[int, ...]:
     """Feature vector of the limiting height function for edge k.
 
@@ -176,24 +125,41 @@ def psi_infinity(tree: PeriodicTree, k: int) -> tuple[int, ...]:
     n = tree.n
     if not 1 <= k <= n:
         raise ValueError(f"edge index {k} out of range 1..{n}")
-    uf = _AffineUnionFind(n)
 
     def shift(x: int) -> int:
         return (x - tree.bar(x)) // n
 
-    for i, (l, r, d) in enumerate(tree.edges, start=1):
-        if i == k:
-            continue
+    # A height is c + d*mu for the slope mu; c and d run through the same
+    # merges, so the two union-finds stay identical in shape.
+    merges = [
         # Collapsed edge: equal heights at both endpoints of the instance.
-        uf.merge(tree.bar(l), tree.bar(r), Fraction(0), Fraction(shift(l) - shift(r)))
+        (tree.bar(l), tree.bar(r), 0, shift(l) - shift(r))
+        for i, (l, r, _) in enumerate(tree.edges, start=1)
+        if i != k
+    ]
     l, r, d = tree.edge(k)
     lo, hi = (l, r) if d == UP else (r, l)
-    uf.merge(tree.bar(lo), tree.bar(hi), Fraction(1), Fraction(shift(lo) - shift(hi)))
-    if uf.mu is None:
+    merges.append((tree.bar(lo), tree.bar(hi), 1, shift(lo) - shift(hi)))
+    const, slope = _OffsetUnionFind(n), _OffsetUnionFind(n)
+    mu = None
+    for a, b, c, d in merges:
+        rc, rd = const.merge(a, b, c), slope.merge(a, b, d)
+        if rc is None:
+            continue
+        # A closed cycle forces rc + rd*mu = 0.
+        if rd:
+            closed = Fraction(-rc, rd)
+            if mu is not None and mu != closed:
+                raise ValueError("inconsistent height constraints")
+            mu = closed
+        elif rc:
+            raise ValueError("inconsistent height constraints")
+    if mu is None:
         raise ValueError("height slope left undetermined")
 
     def psi(x: int) -> Fraction:
-        return uf.value(tree.bar(x)) + uf.mu * shift(x)
+        v = tree.bar(x)
+        return const.find(v)[1] + (slope.find(v)[1] + shift(x)) * mu
 
     out = []
     for i in range(1, n + 1):

@@ -25,7 +25,7 @@ from .cluster import (
     psi_infinity,
     summands,
 )
-from .functions import PeriodicFunction, f_map, is_injective
+from .functions import PeriodicFunction, _integerized, f_map, is_injective
 from .linalg import (
     column_sign_coherent,
     determinant,
@@ -266,15 +266,6 @@ def _run_battery(tree: PeriodicTree, key: str) -> None:
             raise BatteryFailure(key, check)
 
 
-def _integerized(vector):
-    """Scale by the common denominator; only direction matters here."""
-    scale = 1
-    for v in vector:
-        d = Fraction(v).denominator
-        scale = scale * d // math.gcd(scale, d)
-    return tuple(int(v * scale) for v in vector)
-
-
 @lru_cache(maxsize=4096)
 def _edge_columns(tree: PeriodicTree):
     gamma = edge_matrix(tree)
@@ -333,14 +324,14 @@ def mutation_descent(eps, pi: PeriodicFunction, max_steps: int | None = None) ->
         raise ValueError("period mismatch")
     if not is_injective(pi):
         raise ValueError("function must be injective")
-    y = f_map(pi)
     if max_steps is None:
-        bound = max(abs(x) for x in list(pi.values) + [pi.m])
+        bound = max(abs(x) for x in (*pi.values, pi.m))
         max_steps = 10 * eps.n * (1 + math.ceil(bound))
 
     tree = initial_tree(eps)
     source = _initial_interior(eps)
-    y = _integerized(y)
+    # only directions matter, so every vector is scaled to integers
+    y = _integerized(f_map(pi))
     legs = [_zero_slope_waypoint(eps), y] if pi.m > 0 else [y]
     steps = 0
     for target in legs:
@@ -355,13 +346,12 @@ def mutation_descent(eps, pi: PeriodicFunction, max_steps: int | None = None) ->
                     # crossing order along the leg is the order of g1/g0;
                     # g0 = 0 means the leg starts on this wall, cross now
                     g0 = dot(source, col)
-                    key = float("-inf") if g0 == 0 else Fraction(g1, g0)
-                    crossings.append((key, j))
+                    crossings.append((g0 != 0, Fraction(g1, g0) if g0 else 0, j))
             if not crossings:
                 break
             if steps >= max_steps:
                 raise DescentExhausted(f"no region found within {max_steps} steps")
-            tree = mutate_tree(tree, min(crossings)[1], check=False).tree
+            tree = mutate_tree(tree, min(crossings)[2], check=False).tree
             steps += 1
         source = target
     return tree

@@ -1,14 +1,24 @@
 """Periodic functions Z -> Q and their height-vector image.
 
 A function is stored by its values on 1..n together with the per-period
-increment m, so pi(k + n) = pi(k) + m everywhere.  Values are exact (ints or
-Fractions).
+increment m, so pi(k + n) = pi(k) + m everywhere.  Values and m are exact:
+ints or Fractions, checked at construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+__all__ = [
+    "PeriodicFunction",
+    "f_map",
+    "pairing",
+    "is_injective",
+    "collision",
+    "function_combination",
+]
 
 
 @dataclass(frozen=True)
@@ -17,8 +27,14 @@ class PeriodicFunction:
     m: object = 0
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = tuple(self.values)
+        if not values:
             raise ValueError("need at least one value")
+        for x in (*values, self.m):
+            # bool is an int subclass; reject it along with floats
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError(f"values and m must be int or Fraction, got {x!r}")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -49,16 +65,47 @@ def pairing(pi: PeriodicFunction, i: int, j: int):
     return pi.at(j) - pi.at(i)
 
 
+def _integerized(vector) -> tuple[int, ...]:
+    """Integer entries scaled by the least common denominator D."""
+    scale = math.lcm(*(v.denominator for v in vector))
+    return tuple(v.numerator * (scale // v.denominator) for v in vector)
+
+
 def is_injective(pi: PeriodicFunction) -> bool:
-    """Injectivity on all of Z, decided exactly."""
+    """Injectivity on all of Z, decided exactly in O(n).
+
+    With values and m scaled to integers by their common denominator D,
+    indices u and v collide exactly when D*pi(u) = D*pi(v) mod D*m.
+    """
     if pi.m == 0:
         return False
-    for u in range(pi.n):
-        for v in range(u + 1, pi.n):
-            ratio = Fraction(pi.values[u] - pi.values[v]) / Fraction(pi.m)
-            if ratio.denominator == 1:
-                return False
-    return True
+    *values, m = _integerized((*pi.values, pi.m))
+    return len({v % m for v in values}) == len(values)
+
+
+def collision(pi: PeriodicFunction) -> tuple[int, int] | None:
+    """Least index pair (i, j), i < j, with pi(i) = pi(j); None if injective.
+
+    With m = 0 every value repeats one period on, and the pair reported is
+    (1, 1 + n).  Otherwise only indices in one residue class of D*pi mod
+    D*m (see is_injective) are paired.
+    """
+    n = pi.n
+    if pi.m == 0:
+        return (1, 1 + n)
+    *values, m = _integerized((*pi.values, pi.m))
+    classes: dict[int, list[int]] = {}
+    for u, v in enumerate(values, start=1):
+        classes.setdefault(v % m, []).append(u)
+    pairs = []
+    for members in classes.values():
+        for u in members:
+            for v in members:
+                if u != v:
+                    # pi(v + t*n) = pi(v) + t*m = pi(u)
+                    j = v + (values[u - 1] - values[v - 1]) // m * n
+                    pairs.append((min(u, j), max(u, j)))
+    return min(pairs, default=None)
 
 
 def function_combination(p0: PeriodicFunction, p1: PeriodicFunction, t) -> PeriodicFunction:

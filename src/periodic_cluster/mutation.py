@@ -24,7 +24,7 @@ from .tree import (
     require_valid,
 )
 
-__all__ = ["MutationResult", "mutate_tree", "mutate_edge_vectors", "check_mutation_consistency"]
+__all__ = ["MutationResult", "mutate_tree", "mutate_edge_vectors"]
 
 
 class MutationResult(NamedTuple):
@@ -158,18 +158,3 @@ def mutate_edge_vectors(gamma, b, k: int):
     cols[k - 1] = [-x for x in cols[k - 1]]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
-
-def check_mutation_consistency(tree: PeriodicTree, k: int) -> bool:
-    """Tree-level and vector-level mutation agree through the index map."""
-    from .cluster import edge_matrix, exchange_matrix
-
-    result = mutate_tree(tree, k, check=False)
-    expected = mutate_edge_vectors(edge_matrix(tree), exchange_matrix(tree), k)
-    actual = edge_matrix(result.tree)
-    n = tree.n
-    for j in range(1, n + 1):
-        jj = result.index_map[j]
-        for i in range(n):
-            if expected[i][j - 1] != actual[i][jj - 1]:
-                return False
-    return True

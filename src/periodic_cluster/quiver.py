@@ -16,6 +16,16 @@ from functools import lru_cache
 from . import linalg
 from .linalg import Matrix
 
+__all__ = [
+    "PLUS",
+    "MINUS",
+    "SignFunction",
+    "euler_matrix",
+    "euler_form",
+    "projective_roots",
+    "null_root",
+]
+
 PLUS = 1
 MINUS = -1
 

@@ -7,11 +7,27 @@ by n leaves the vector unchanged.
 
 from __future__ import annotations
 
-import math
-
 from .functions import PeriodicFunction
 from .linalg import mat_vec, transpose
 from .quiver import MINUS, PLUS, SignFunction, euler_matrix
+
+__all__ = [
+    "PREPROJECTIVE",
+    "PREINJECTIVE",
+    "REGULAR",
+    "NULL_MULTIPLE",
+    "NOT_A_ROOT",
+    "REAL_SCHUR_TYPES",
+    "INTERIOR",
+    "BOUNDARY",
+    "OUTSIDE",
+    "root_vector",
+    "classify_root",
+    "subroots",
+    "in_stability_domain",
+    "interior_witness",
+    "pi_from_vector",
+]
 
 PREPROJECTIVE = "preprojective"
 PREINJECTIVE = "preinjective"
@@ -121,9 +137,9 @@ def _witness_minus(eps: SignFunction, i: int, j: int) -> PeriodicFunction:
     values = []
     for k in range(1, n + 1):
         if eps.at(k) == PLUS or (k - j) % n == 0:
-            values.append(math.floor((k - j) / n))
+            values.append((k - j) // n)
         else:
-            values.append(math.floor((k - i + n - 1) / n))
+            values.append((k - i + n - 1) // n)
     return PeriodicFunction(tuple(values), 1)
 
 

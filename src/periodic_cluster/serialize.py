@@ -16,6 +16,19 @@ from .functions import PeriodicFunction
 from .quiver import SignFunction
 from .tree import DOWN, UP, Edge, PeriodicTree
 
+__all__ = [
+    "FORMAT_TAG",
+    "SchemaError",
+    "rational_to_str",
+    "parse_rational",
+    "tree_to_dict",
+    "tree_from_dict",
+    "function_to_dict",
+    "function_from_dict",
+    "matrix_to_lists",
+    "dumps",
+]
+
 FORMAT_TAG = "periodic-cluster/1"
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")

@@ -39,8 +39,6 @@ __all__ = [
     "internal_extrema",
     "infinite_path_edges",
     "infinite_path_gains",
-    "PeriodicFunction",
-    "f_map",
 ]
 
 UP = "up"
@@ -76,6 +74,9 @@ def _bar(x: int, n: int) -> int:
 
 
 def _normalize_edge(left: int, right: int, direction: str, n: int) -> Edge:
+    for x in (left, right):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"edge endpoints must be ints, got {x!r}")
     if direction not in (UP, DOWN):
         raise ValueError(f"edge direction must be 'up' or 'down', got {direction!r}")
     if left == right:
@@ -147,11 +148,12 @@ def _slot_counts(tree: PeriodicTree) -> dict[int, list[int]]:
 
 
 class _OffsetUnionFind:
-    """Union-find over vertex classes tracking integer lift displacements."""
+    """Union-find over vertex classes tracking integer offsets (lift
+    positions in validate, height parts in cluster.psi_infinity)."""
 
     def __init__(self, n: int):
         self.parent = list(range(n + 1))
-        self.offset = [0] * (n + 1)  # lift position relative to the root
+        self.offset = [0] * (n + 1)  # position relative to the root
 
     def find(self, v: int) -> tuple[int, int]:
         path = []

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from periodic_cluster import (
     PeriodicFunction,
+    collision,
     f_map,
     function_combination,
     is_injective,
@@ -28,6 +29,26 @@ def test_at_periodicity():
 def test_empty_values_rejected():
     with pytest.raises(ValueError):
         PeriodicFunction(())
+
+
+def test_values_and_m_must_be_exact():
+    bad = [
+        ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)), 1.0),
+        ((0.5, 0.25, 0.1), 1),
+        ((True, 2), 3),
+        ((0, 1), False),
+        (("1", 2), 3),
+    ]
+    for values, m in bad:
+        with pytest.raises(TypeError):
+            PeriodicFunction(values, m)
+
+
+def test_values_are_stored_as_a_tuple():
+    pi = PeriodicFunction([5, 1, 0], 3)
+    assert pi.values == (5, 1, 0)
+    assert pi == PeriodicFunction((5, 1, 0), 3)
+    assert hash(pi) == hash(PeriodicFunction((5, 1, 0), 3))
 
 
 def test_f_map_sums_to_slope():
@@ -78,6 +99,45 @@ def test_is_injective_agrees_with_window_scan(values, m):
     pi = PeriodicFunction(tuple(values), m)
     window = [pi.at(k) for k in range(1, 73 * pi.n + 1)]
     assert is_injective(pi) == (len(set(window)) == len(window))
+
+
+def _collision_by_all_pairs(pi):
+    """Least (i, j), i < j, with pi(i) = pi(j), from every ordered pair of
+    residues: pi(u) = pi(v + t*n) for t = (pi(u) - pi(v)) / m."""
+    n = pi.n
+    if pi.m == 0:
+        return (1, 1 + n)
+    pairs = []
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            t = Fraction(pi.values[u - 1] - pi.values[v - 1]) / Fraction(pi.m)
+            if t.denominator != 1:
+                continue
+            j = v + t.numerator * n
+            if j != u:
+                pairs.append((min(u, j), max(u, j)))
+    return min(pairs, default=None)
+
+
+@given(
+    st.lists(st.one_of(rationals, st.integers(-3, 3)), min_size=1, max_size=9),
+    st.one_of(st.just(0), st.integers(-3, 3), rationals),
+)
+def test_collision_agrees_with_all_pairs_scan(values, m):
+    pi = PeriodicFunction(values, m)
+    want = _collision_by_all_pairs(pi)
+    assert collision(pi) == want
+    assert is_injective(pi) == (want is None)
+    if want is not None:
+        assert pi.at(want[0]) == pi.at(want[1])
+
+
+def test_collision_cases():
+    assert collision(PeriodicFunction((0, 1), 0)) == (1, 3)
+    assert collision(PeriodicFunction((0, 0), 1)) == (1, 2)
+    # pi(-1) = pi(2) - m = 0 = pi(1); the pair may reach below 1
+    assert collision(PeriodicFunction((0, 1, Fraction(1, 2)), 1)) == (-1, 1)
+    assert collision(PeriodicFunction((5, 1, 0), 3)) is None
 
 
 def test_shift_and_tilt():

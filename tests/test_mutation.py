@@ -9,12 +9,12 @@ from periodic_cluster import (
     UP,
     Edge,
     PeriodicTree,
-    check_mutation_consistency,
     edge_matrix,
     exchange_matrix,
     extended_exchange_matrix,
     fz_mutate,
     initial_tree,
+    invariant_battery,
     mutate_edge_vectors,
     mutate_tree,
     tree_from_function,
@@ -96,14 +96,14 @@ def test_vector_rule_matches_fz(fig1):
             )
 
 
-def test_check_mutation_consistency_everywhere():
+def test_battery_vector_rule_everywhere():
+    # tree-level and vector-level mutation agree at every edge
     rng = random.Random(31)
     for _ in range(20):
         n = rng.randint(2, 4)
         eps = rng.choice(surjective_signs(n))
         t = tree_from_function(eps, random_injective(rng, n))
-        for k in range(1, n + 1):
-            assert check_mutation_consistency(t, k), (eps, t.edges, k)
+        assert invariant_battery(t)["vector_rule"], (eps, t.edges)
 
 
 def test_mutate_descending_edge_via_reflection(fig1):

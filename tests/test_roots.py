@@ -186,6 +186,15 @@ def test_interior_witness_is_interior():
                     assert in_stability_domain(eps, i, j, pi) == INTERIOR, (s, i, j)
 
 
+def test_interior_witness_at_large_indices():
+    # near 10**17 a float quotient (k - j) / n rounds to the wrong floor
+    eps = SignFunction.from_string("-++")
+    for i in (1, 3 * 10**17 + 1):
+        for j in (i + 2, i + 4):
+            pi = interior_witness(eps, i, j)
+            assert in_stability_domain(eps, i, j, pi) == INTERIOR, (i, j)
+
+
 def test_pi_from_vector_inverts_transposed_euler():
     rng = random.Random(7)
     for s in ["-+", "-++", "+-+", "+++-"]:

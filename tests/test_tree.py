@@ -1,6 +1,7 @@
 """Tree construction, admissibility, regions, reconstruction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,12 @@ def test_edge_normalization_rules():
         PeriodicTree("-++", [(1, 2, "sideways"), (2, 3, DOWN), (3, 4, DOWN)])
     with pytest.raises(ValueError):
         PeriodicTree("-++", [(2, 2, UP), (2, 3, DOWN), (3, 4, DOWN)])
+
+
+def test_edge_endpoints_must_be_ints():
+    for bad in (1.0, True, Fraction(1)):
+        with pytest.raises(TypeError):
+            PeriodicTree("-++", [(bad, 5, DOWN), (1, 8, UP), (2, 3, DOWN)])
 
 
 def test_duplicate_and_count_errors():
