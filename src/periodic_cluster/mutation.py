@@ -73,7 +73,7 @@ def _child_of(tree: PeriodicTree, edge: Edge, a: int) -> int | None:
 def _mutate_ascending(tree: PeriodicTree, k: int) -> MutationResult:
     n = tree.n
     a, b, _ = tree.edge(k)
-    replacements: list[tuple[int, tuple[int, int, str]]] = [(k, (a, b, DOWN))]
+    replacements: list[tuple[int, Edge]] = [(k, Edge(a, b, DOWN))]
     for i in range(1, n + 1):
         if i == k:
             continue
@@ -93,26 +93,23 @@ def _mutate_ascending(tree: PeriodicTree, k: int) -> MutationResult:
             else:
                 candidates.append(_directed(d, b))
         if not candidates:
-            replacements.append((i, tuple(edge)))
+            replacements.append((i, edge))
             continue
         normalized = {_normalize_edge(*cand, n) for cand in candidates}
         if len(normalized) > 1:
             raise ValueError(f"conflicting slide rules for edge {edge}")
-        replacements.append((i, candidates[0]))
+        replacements.append((i, normalized.pop()))
 
-    keyed = sorted(
-        ((_normalize_edge(*raw, n), old) for old, raw in replacements),
-        key=lambda pair: _column_key(pair[0], n),
-    )
-    new_tree = PeriodicTree(tree.eps, [e for e, _ in keyed])
-    index_map = {old: pos for pos, (_, old) in enumerate(keyed, start=1)}
+    keyed = sorted(replacements, key=lambda pair: _column_key(pair[1], n))
+    new_tree = PeriodicTree._canonical(tree.eps, [e for _, e in keyed])
+    index_map = {old: pos for pos, (old, _) in enumerate(keyed, start=1)}
     return MutationResult(new_tree, index_map)
 
 
 def _reflect_with_map(tree: PeriodicTree) -> tuple[PeriodicTree, dict[int, int]]:
     n = tree.n
     reflected = [_normalize_edge(-r, -l, _flip(d), n) for l, r, d in tree.edges]
-    new_tree = PeriodicTree(tree.eps.reflected(), reflected)
+    new_tree = PeriodicTree._canonical(tree.eps.reflected(), reflected)
     positions = {e: pos for pos, e in enumerate(new_tree.edges, start=1)}
     return new_tree, {i + 1: positions[e] for i, e in enumerate(reflected)}
 

@@ -40,11 +40,17 @@ class SignFunction:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.signs) < 2:
+        signs = tuple(self.signs)
+        object.__setattr__(self, "signs", signs)
+        if len(signs) < 2:
             raise ValueError("period must be at least 2")
-        if any(s not in (PLUS, MINUS) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-        if len(set(self.signs)) != 2:
+        for s in signs:
+            # bool is an int subclass; reject it along with floats
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise TypeError(f"signs must be the ints +1 and -1, got {s!r}")
+            if s not in (PLUS, MINUS):
+                raise ValueError("signs must be +1 or -1")
+        if len(set(signs)) != 2:
             raise ValueError("sign function must take both values")
 
     @classmethod

@@ -6,16 +6,26 @@ of the underlying Z-indexed vertex set; dir is "up" when p_left sits below
 p_right in the order and "down" otherwise.  Every statement about the tree
 is invariant under translation by n, so classes are normalized to have
 their left endpoint in 1..n.
+
+Production path: tree_from_function scales pi once to integers by its
+common denominator (the tree depends only on the order of the values and
+the sign of m), then strips leaves from a worklist over a linked list of
+surviving residues and reads the infinite path off the survivors, in
+near-linear time and int arithmetic only.  synthesize_morphism tilts and
+bumps integer numerators over one denominator and builds Fractions only
+for the value it returns.  validate certifies T4 by that round trip.
+Oracles: in_region checks a function against every edge directly, and the
+explorer battery's round_trip check repeats the round trip on each tree.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .functions import PeriodicFunction, f_map, is_injective
+from .functions import PeriodicFunction, _integerized, is_injective
 from .quiver import MINUS, PLUS, SignFunction
 
 __all__ = [
@@ -101,8 +111,17 @@ class PeriodicTree:
     def __init__(self, eps, edges):
         if isinstance(eps, str):
             eps = SignFunction.from_string(eps)
+        self._fill(eps, [_normalize_edge(l, r, d, eps.n) for (l, r, d) in edges])
+
+    @classmethod
+    def _canonical(cls, eps: SignFunction, edges) -> "PeriodicTree":
+        """A tree from edges already in normal form (_normalize_edge), in any order."""
+        tree = object.__new__(cls)
+        tree._fill(eps, list(edges))
+        return tree
+
+    def _fill(self, eps: SignFunction, normalized: list[Edge]) -> None:
         n = eps.n
-        normalized = [_normalize_edge(l, r, d, n) for (l, r, d) in edges]
         normalized.sort(key=lambda e: _column_key(e, n))
         if len(normalized) != n:
             raise ValueError(f"expected {n} edge classes, got {len(normalized)}")
@@ -135,9 +154,10 @@ def initial_tree(eps) -> PeriodicTree:
 
 def _slot_counts(tree: PeriodicTree) -> dict[int, list[int]]:
     # Per vertex class: [left parents, right parents, left children, right children].
-    counts = {v: [0, 0, 0, 0] for v in range(1, tree.n + 1)}
+    n = tree.n
+    counts = {v: [0, 0, 0, 0] for v in range(1, n + 1)}
     for l, r, d in tree.edges:
-        cl, cr = tree.bar(l), tree.bar(r)
+        cl, cr = _bar(l, n), _bar(r, n)
         if d == UP:
             counts[cl][1] += 1  # parent to the right of p_l
             counts[cr][2] += 1  # child to the left of p_r
@@ -202,7 +222,7 @@ def validate(tree: PeriodicTree) -> tuple[Violation, ...]:
     uf = _OffsetUnionFind(n)
     windings = []
     for l, r, _ in tree.edges:
-        w = uf.merge(tree.bar(l), tree.bar(r), r - l)
+        w = uf.merge(_bar(l, n), _bar(r, n), r - l)
         if w is not None:
             windings.append(w)
     roots = {uf.find(v)[0] for v in range(1, n + 1)}
@@ -246,8 +266,8 @@ def _cycle_walk(tree: PeriodicTree) -> _CycleWalk:
     # Endpoint slots per class: (edge index, side) with side 0 = left endpoint.
     incident: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
     for idx, (l, r, _) in enumerate(tree.edges):
-        incident[tree.bar(l)].append((idx, 0))
-        incident[tree.bar(r)].append((idx, 1))
+        incident[_bar(l, n)].append((idx, 0))
+        incident[_bar(r, n)].append((idx, 1))
 
     alive = [True] * n
     degree = {v: len(incident[v]) for v in incident}
@@ -259,7 +279,7 @@ def _cycle_walk(tree: PeriodicTree) -> _CycleWalk:
                 continue
             alive[idx] = False
             l, r, _ = tree.edges[idx]
-            other = tree.bar(r) if side == 0 else tree.bar(l)
+            other = _bar(r, n) if side == 0 else _bar(l, n)
             degree[v] -= 1
             degree[other] -= 1
             if degree[other] == 1:
@@ -271,8 +291,8 @@ def _cycle_walk(tree: PeriodicTree) -> _CycleWalk:
     slots: dict[int, list[tuple[int, int]]] = {}
     for idx in cycle_indices:
         l, r, _ = tree.edges[idx]
-        slots.setdefault(tree.bar(l), []).append((idx, 0))
-        slots.setdefault(tree.bar(r), []).append((idx, 1))
+        slots.setdefault(_bar(l, n), []).append((idx, 0))
+        slots.setdefault(_bar(r, n), []).append((idx, 1))
     for v, ss in slots.items():
         if len(ss) != 2:
             raise ValueError(f"quotient cycle is not simple at class {v}")
@@ -288,10 +308,10 @@ def _cycle_walk(tree: PeriodicTree) -> _CycleWalk:
         idx, side = min(options)
         l, r, d = tree.edges[idx]
         if side == 0:
-            pos, cls = pos + (r - l), tree.bar(r)
+            pos, cls = pos + (r - l), _bar(r, n)
             steps_up.append(d == UP)
         else:
-            pos, cls = pos - (r - l), tree.bar(l)
+            pos, cls = pos - (r - l), _bar(l, n)
             steps_up.append(d == DOWN)
         prev = (idx, 1 - side)
         step_edges.append(idx)
@@ -319,7 +339,7 @@ def classify_slope(tree: PeriodicTree) -> str:
 def _base_morphism(tree: PeriodicTree) -> PeriodicFunction:
     n = tree.n
     walk = _cycle_walk(tree)
-    values: dict[int, Fraction | int] = {}
+    values: dict[int, int] = {}
 
     if all(walk.steps_up) or not any(walk.steps_up):
         k = len(walk.steps_up)
@@ -334,48 +354,51 @@ def _base_morphism(tree: PeriodicTree) -> PeriodicFunction:
         succ: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         indeg = {v: 0 for v in range(1, n + 1)}
         for l, r, d in tree.edges:
-            lo, hi = (tree.bar(l), tree.bar(r)) if d == UP else (tree.bar(r), tree.bar(l))
+            lo, hi = (_bar(l, n), _bar(r, n)) if d == UP else (_bar(r, n), _bar(l, n))
             if hi not in succ[lo]:
                 succ[lo].add(hi)
                 indeg[hi] += 1
-        ready = sorted(v for v in indeg if indeg[v] == 0)
+        ready = [v for v in indeg if indeg[v] == 0]  # sorted, so already a heap
         order = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            for u in sorted(succ[v]):
+            for u in succ[v]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
-                    ready.append(u)
-            ready.sort()
+                    heapq.heappush(ready, u)
         if len(order) != n:
             raise ValueError("order constraints are cyclic")
         for h, v in enumerate(order):
             values[v] = h
 
-    branch = [tree.edges[i] for i in range(n) if i not in walk.cycle_indices]
-    while branch:
-        progressed = False
-        remaining = []
-        for l, r, d in branch:
-            cl, cr = tree.bar(l), tree.bar(r)
-            if cl in values and cr in values:
-                progressed = True
-            elif cl in values:
-                pl = values[cl] + m * ((l - cl) // n)
-                pr = pl + (1 if d == UP else -1)
-                values[cr] = pr - m * ((r - cr) // n)
-                progressed = True
-            elif cr in values:
-                pr = values[cr] + m * ((r - cr) // n)
-                pl = pr - (1 if d == UP else -1)
-                values[cl] = pl - m * ((l - cl) // n)
-                progressed = True
-            else:
-                remaining.append((l, r, d))
-        if not progressed:
-            raise ValueError("quotient graph disconnected")
-        branch = remaining
+    # Branch edges form trees hanging from the valued vertices; one
+    # traversal gives each branch vertex its height from its parent.
+    cycle = set(walk.cycle_indices)
+    incident: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for i, (l, r, _) in enumerate(tree.edges):
+        if i not in cycle:
+            incident[_bar(l, n)].append(i)
+            incident[_bar(r, n)].append(i)
+    branches = len(tree.edges) - len(cycle)
+    seen = set()
+    stack = list(values)
+    while stack:
+        for i in incident[stack.pop()]:
+            if i in seen:
+                continue
+            seen.add(i)
+            l, r, d = tree.edges[i]
+            cl, cr = _bar(l, n), _bar(r, n)
+            step = 1 if d == UP else -1
+            if cr not in values:
+                values[cr] = values[cl] + m * ((l - cl) // n) + step - m * ((r - cr) // n)
+                stack.append(cr)
+            elif cl not in values:
+                values[cl] = values[cr] + m * ((r - cr) // n) - step - m * ((l - cl) // n)
+                stack.append(cl)
+    if len(seen) != branches:
+        raise ValueError("quotient graph disconnected")
     return PeriodicFunction(tuple(values[v] for v in range(1, n + 1)), m)
 
 
@@ -390,25 +413,27 @@ def synthesize_morphism(tree: PeriodicTree, injective: bool = True) -> PeriodicF
     base = _base_morphism(tree)
     if not injective:
         return base
-    result = base
-    if not is_injective(result):
+    scaled, den = base, 1
+    if not is_injective(base):
         # Integer heights leave every edge a margin of at least 1, so a
-        # shear below 1/(2L+1) per unit length cannot cross zero.
-        longest = max(r - l for l, r, _ in tree.edges)
-        result = result.tilted(Fraction(1, 2 * longest + 1))
-    mu = Fraction(1, 2 * tree.n * tree.n * (2 * max(r - l for l, r, _ in tree.edges) + 1))
-    while not is_injective(result):
-        bumped = PeriodicFunction(
-            tuple(v + (i + 1) * (i + 1) * mu for i, v in enumerate(result.values)),
-            result.m,
-        )
-        if is_injective(bumped):
-            result = bumped
-            break
-        mu /= 2
-    if not in_region(tree, result):
+        # shear below 1/(2L+1) per unit length cannot cross zero.  The shear
+        # and the bumps run on integer numerators over the denominator den.
+        n, den = tree.n, 2 * max(r - l for l, r, _ in tree.edges) + 1
+        tilted = tuple(den * v + i + 1 for i, v in enumerate(base.values))
+        tilted_m = den * base.m + n
+        scaled, grow = PeriodicFunction(tilted, tilted_m), 1
+        while not is_injective(scaled):
+            # Bump pi(i) by i^2 * mu, mu = 1/(2 n^2 den) halved until injective.
+            grow = 2 * grow if grow > 1 else 2 * n * n
+            scaled = PeriodicFunction(
+                tuple(grow * v + i * i for i, v in enumerate(tilted, start=1)), grow * tilted_m
+            )
+        den *= grow
+    if not in_region(tree, scaled):
         raise ValueError("synthesized function left the region")
-    return result
+    if den == 1:
+        return base
+    return PeriodicFunction(tuple(Fraction(v, den) for v in scaled.values), Fraction(scaled.m, den))
 
 
 def in_region(tree: PeriodicTree, pi: PeriodicFunction) -> bool:
@@ -422,102 +447,120 @@ def in_region(tree: PeriodicTree, pi: PeriodicFunction) -> bool:
     return True
 
 
-def _adjacent_with_sign(eps_t: tuple[int, ...], j: int, sign: int) -> tuple[int, int]:
-    """Nearest positions below and above j carrying the given sign."""
-    q = len(eps_t)
-    lo = next(t for t in range(j - 1, j - q - 1, -1) if eps_t[(t - 1) % q] == sign)
-    hi = next(t for t in range(j + 1, j + q + 1) if eps_t[(t - 1) % q] == sign)
-    return lo, hi
+def _edge_between(x: int, px: int, y: int, py: int) -> tuple[int, int, str]:
+    """The edge joining positions x and y, which hold the values px and py."""
+    if x > y:
+        x, px, y, py = y, py, x, px
+    return (x, y, UP if py > px else DOWN)
 
 
-def _edge_between(x: int, y: int, pi_at: Callable[[int], Fraction]) -> tuple[int, int, str]:
-    a, b = (x, y) if x < y else (y, x)
-    return (a, b, UP if pi_at(b) > pi_at(a) else DOWN)
+def _reconstruct(signs: tuple[int, ...], values: tuple[int, ...], m: int) -> list[tuple[int, int, str]]:
+    """Edges of the tree of an injective integer function, by leaf stripping.
+
+    Residue r (0-based) at lift t is the position r + 1 + q*t, with value
+    values[r] + m*t.  A residue of sign s is a leaf when s*(pi(u) - pi(r))
+    > 0 for every survivor u in its window, which runs between its nearest
+    surviving same-sign neighbours; it hangs from the window's extreme
+    value and is removed with all its lifts.  The surviving residues form a
+    cyclic linked list in residue order, so lifts stay explicit and no
+    re-indexing is needed.  A failed test records a witness u.  Windows
+    lose only removed residues, so the verdict stands until the witness
+    itself is removed, and then exactly the residues it witnessed are
+    tested again.  A leaf stays a leaf, and the tree is unique, so the
+    removal order does not matter.  The survivors that no leaf pattern
+    removes form the infinite path and its extrema, read off by
+    _path_edges.
+    """
+    q = len(signs)
+    nxt = [(r + 1) % q for r in range(q)]
+    prv = [(r - 1) % q for r in range(q)]
+    same_nxt, same_prv = [0] * q, [0] * q
+    for s in (PLUS, MINUS):
+        ring = [r for r in range(q) if signs[r] == s]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            same_nxt[a], same_prv[b] = b, a
+    alive = [True] * q
+    witnessed: list[list[int]] = [[] for _ in range(q)]
+    attach: list[tuple[int, int]] = [(0, 0)] * q
+    leaves: list[int] = []
+
+    def test(r: int) -> None:
+        s, a, b = signs[r], same_prv[r], same_nxt[r]
+        if a == r:  # alone in its sign, and pi(r - q) or pi(r + q) lies beyond
+            return
+        least, best = s * values[r], None
+        u, t, tb = a, -(a > r), int(b < r)
+        while True:
+            key = s * (values[u] + m * t)
+            if key < least:
+                witnessed[u].append(r)
+                return
+            if best is None or key < best[0]:
+                best = (key, u, t)
+            if u == b and t == tb:
+                break
+            u, t = nxt[u], t + (nxt[u] <= u)
+            if u == r:
+                u, t = nxt[r], int(nxt[r] <= r)
+        attach[r] = best[1:]
+        leaves.append(r)
+
+    for r in range(q):
+        test(r)
+    edges = []
+    while leaves:
+        r = leaves.pop()
+        c, t = attach[r]
+        edges.append(_edge_between(r + 1, values[r], c + 1 + q * t, values[c] + m * t))
+        alive[r] = False
+        nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
+        same_nxt[same_prv[r]], same_prv[same_nxt[r]] = same_nxt[r], same_prv[r]
+        for p in witnessed[r]:
+            if alive[p]:
+                test(p)
+    survivors = [r for r in range(q) if alive[r]]
+    return edges + _path_edges(signs, values, m, survivors)
 
 
-def _find_leaf(eps_t, pi_at):
-    """First residue matching a leaf pattern, with its attachment vertex."""
-    q = len(eps_t)
-    for j in range(1, q + 1):
-        sign = eps_t[j - 1]
-        lo, hi = _adjacent_with_sign(eps_t, j, sign)
-        window = [t for t in range(lo, hi + 1) if t != j]
-        pj = pi_at(j)
-        if sign == MINUS:
-            if all(pi_at(t) < pj for t in window):
-                return j, max(window, key=pi_at)
-        else:
-            if all(pi_at(t) > pj for t in window):
-                return j, min(window, key=pi_at)
-    return None
+def _path_edges(signs, values, m: int, survivors: list[int]) -> list[tuple[int, int, str]]:
+    """Edges among the residues that carry no leaf pattern.
 
+    Extrema are residues beyond both nearest opposite-sign survivors and
+    the rest of their same-sign run.  Between consecutive extrema the
+    survivors form a chain sorted by value.  Without extrema the survivors
+    form a monotone line, each joined to the lift holding the least value
+    above it: the next residue in the cyclic order of values mod |m|.
+    """
+    q, k = len(signs), len(survivors)
 
-def _scan_extrema(eps_t, pi_at):
-    """Residues that are strict extrema between adjacent opposite signs."""
-    q = len(eps_t)
-    result = []
-    for j in range(1, q + 1):
-        sign = eps_t[j - 1]
-        opposite = MINUS if sign == PLUS else PLUS
-        if opposite not in eps_t:
-            continue
-        lo, hi = _adjacent_with_sign(eps_t, j, opposite)
-        window = [t for t in range(lo, hi + 1) if t != j]
-        pj = pi_at(j)
-        if sign == PLUS and all(pi_at(t) < pj for t in window):
-            result.append(j)
-        elif sign == MINUS and all(pi_at(t) > pj for t in window):
-            result.append(j)
-    return result
+    def position(i: int) -> tuple[int, int]:
+        # Survivor index i, taken cyclically, as (position, value).
+        r, t = survivors[i % k], i // k
+        return r + 1 + q * t, values[r] + m * t
 
+    def edge(i: int, j: int) -> tuple[int, int, str]:
+        return _edge_between(*position(i), *position(j))
 
-def _successor(values, m, x, pi_at):
-    """The vertex holding the least value above pi(x), for monotone lines."""
-    q = len(values)
-    px = pi_at(x)
-    best = None
-    for u in range(1, q + 1):
-        ratio = (px - values[u - 1]) / Fraction(m)
-        t = math.floor(ratio) + 1 if m > 0 else math.ceil(ratio) - 1
-        y = values[u - 1] + t * m
-        if best is None or y < best[0]:
-            best = (y, u + t * q)
-    return best[1]
-
-
-def _reconstruct(eps_t: tuple[int, ...], values: tuple, m) -> list[tuple[int, int, str]]:
-    q = len(eps_t)
-
-    def pi_at(x: int):
-        idx = (x - 1) % q
-        return values[idx] + m * ((x - 1 - idx) // q)
-
-    if q == 1:
-        return [(1, 2, UP if m > 0 else DOWN)]
-
-    leaf = _find_leaf(eps_t, pi_at)
-    if leaf is not None:
-        j, attach = leaf
-
-        def old(x: int) -> int:
-            return x + (x - j) // (q - 1) + 1
-
-        sub_eps = tuple(eps_t[(old(x) - 1) % q] for x in range(1, q))
-        sub_values = tuple(pi_at(old(x)) for x in range(1, q))
-        lifted = [(old(a), old(b), d) for a, b, d in _reconstruct(sub_eps, sub_values, m)]
-        lifted.append(_edge_between(j, attach, pi_at))
-        return lifted
-
-    extrema = sorted(_scan_extrema(eps_t, pi_at))
+    starts = [i for i in range(k) if signs[survivors[i]] != signs[survivors[i - 1]]]
+    extrema = []
+    for a, b in zip(starts, starts[1:] + [i + k for i in starts[:1]]):
+        s = signs[survivors[a]]
+        top = max(range(a, b), key=lambda x: s * position(x)[1])
+        if s * position(top)[1] > max(s * position(a - 1)[1], s * position(b)[1]):
+            extrema.append(top)
+    out = []
     if extrema:
-        stretches = list(zip(extrema, extrema[1:])) + [(extrema[-1], extrema[0] + q)]
-        edges = []
-        for a, b in stretches:
-            chain = sorted(range(a, b + 1), key=pi_at)
-            edges.extend(_edge_between(u, v, pi_at) for u, v in zip(chain, chain[1:]))
-        return edges
-
-    return [_edge_between(x, _successor(values, m, x, pi_at), pi_at) for x in range(1, q + 1)]
+        for a, b in zip(extrema, extrema[1:] + [extrema[0] + k]):
+            chain = sorted(range(a, b + 1), key=lambda x: position(x)[1])
+            out.extend(edge(x, y) for x, y in zip(chain, chain[1:]))
+        return out
+    size = abs(m)
+    order = sorted(range(k), key=lambda i: values[survivors[i]] % size)
+    for i, j in zip(order, order[1:] + order[:1]):
+        x, u = values[survivors[i]], values[survivors[j]]
+        above = x + ((u - x) % size or size)
+        out.append(edge(i, j + k * ((above - u) // m)))
+    return out
 
 
 def tree_from_function(eps, pi: PeriodicFunction) -> PeriodicTree:
@@ -530,7 +573,10 @@ def tree_from_function(eps, pi: PeriodicFunction) -> PeriodicTree:
         raise ValueError("slope increment must be nonzero")
     if not is_injective(pi):
         raise ValueError("function must be injective")
-    return PeriodicTree(eps, _reconstruct(tuple(eps.signs), tuple(pi.values), pi.m))
+    # The tree depends only on the order of the values and the sign of m,
+    # so one positive scaling to integers leaves it unchanged.
+    *values, m = _integerized((*pi.values, pi.m))
+    return PeriodicTree(eps, _reconstruct(eps.signs, tuple(values), m))
 
 
 def _quotient_degrees(tree: PeriodicTree) -> dict[int, int]:

@@ -141,3 +141,18 @@ def test_projective_roots_are_inverse_transpose_columns():
             tuple(e_inv_t[i][j] for i in range(eps.n)) for j in range(eps.n)
         )
         assert projective_roots(eps) == cols
+
+
+def test_sign_function_stores_a_tuple():
+    from periodic_cluster import bfs
+
+    eps = SignFunction([1, -1, 1])
+    assert eps.signs == (1, -1, 1) and eps == SignFunction.from_string("+-+")
+    assert projective_roots(eps) == projective_roots(SignFunction.from_string("+-+"))
+    assert len(bfs(eps, 1, verify=False).nodes) == 4
+
+
+@pytest.mark.parametrize("signs", [(1.0, -1), (True, -1), (1, False), ("+", "-")])
+def test_sign_function_rejects_non_int_signs(signs):
+    with pytest.raises(TypeError):
+        SignFunction(signs)

@@ -1,13 +1,17 @@
 """Tree construction, admissibility, regions, reconstruction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from periodic_cluster import (
     DOWN,
+    MINUS,
     NEGATIVE,
+    PLUS,
     POSITIVE,
     UP,
     ZERO,
@@ -15,18 +19,22 @@ from periodic_cluster import (
     PeriodicFunction,
     PeriodicTree,
     SignFunction,
+    canonical_key,
     classify_slope,
     in_region,
     infinite_path_edges,
     infinite_path_gains,
     initial_tree,
     internal_extrema,
+    is_injective,
     leaves,
     require_valid,
     synthesize_morphism,
     tree_from_function,
     validate,
 )
+
+from periodic_cluster import tree as tree_module
 
 from conftest import make_fig1, make_ztree, random_injective, surjective_signs
 
@@ -205,3 +213,121 @@ def test_region_membership_is_exclusive():
         other = tree_from_function(eps, random_injective(rng, 3))
         if other.edges != home.edges:
             assert not in_region(other, pi)
+
+
+def _seeded_functions(count: int):
+    """Sign functions with runs of every length and injective Fraction
+    functions with both signs of m, n = 2..64."""
+    rng = random.Random(2014)
+    for _ in range(count):
+        n = rng.randint(2, 64)
+        flip = rng.random()
+        signs = [rng.choice((PLUS, MINUS))]
+        for _ in range(n - 1):
+            signs.append(-signs[-1] if rng.random() < flip else signs[-1])
+        if len(set(signs)) == 1:
+            signs[rng.randrange(n)] *= -1
+        m = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+        spread = n * rng.randint(1, 4)
+        # distinct fractions of m below m keep the values distinct mod m
+        values = tuple(
+            m * (rng.randint(-3, 3) + Fraction(r, spread)) for r in rng.sample(range(spread), n)
+        )
+        yield SignFunction(tuple(signs)), PeriodicFunction(values, m)
+
+
+KEYS_DIGEST = "cd4ebe26be963bb8a3ba1752e6d14d679a22a720d1f9af32b7a874e1880de485"
+SYNTHESIZED_DIGEST = "d682f48b51c8d48c97bb63afd4a74790d16b9ee2d44231079523fc883be264f2"
+
+
+def test_reconstruction_matches_recorded_digests():
+    # Digests recorded from the recursive Fraction reconstruction and the
+    # Fraction tilt-and-bump synthesis that preceded the integer versions.
+    keys, synthesized = hashlib.sha256(), hashlib.sha256()
+    for eps, pi in _seeded_functions(150):
+        t = tree_from_function(eps, pi)
+        keys.update(canonical_key(t).encode() + b"\n")
+        synthesized.update(repr(synthesize_morphism(t)).encode() + b"\n")
+    assert keys.hexdigest() == KEYS_DIGEST
+    assert synthesized.hexdigest() == SYNTHESIZED_DIGEST
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@given(
+    st.lists(st.sampled_from((PLUS, MINUS)), min_size=2, max_size=12).filter(
+        lambda s: len(set(s)) == 2
+    ),
+    st.data(),
+    st.fractions(min_value=Fraction(1, 7), max_value=50, max_denominator=7),
+    rationals,
+)
+def test_reconstruction_lands_in_region_and_ignores_affine_maps(signs, data, c, d):
+    values = data.draw(st.lists(rationals, min_size=len(signs), max_size=len(signs)))
+    m = data.draw(rationals.filter(bool))
+    pi = PeriodicFunction(tuple(values), m)
+    assume(is_injective(pi))
+    eps = SignFunction(tuple(signs))
+    t = tree_from_function(eps, pi)
+    assert in_region(t, pi)
+    moved = PeriodicFunction(tuple(c * v + d for v in values), c * m)
+    assert tree_from_function(eps, moved) == t
+
+
+def test_reconstruction_has_no_recursion_limit():
+    # Every plus residue but one is a leaf, and they come off one at a
+    # time; a recursive reconstruction needs one frame per removal.
+    n = 2000
+    eps = SignFunction((MINUS,) + (PLUS,) * (n - 1))
+    pi = PeriodicFunction(tuple(range(n, 0, -1)), n + 1)
+    t = tree_from_function(eps, pi)
+    assert in_region(t, pi)
+    assert validate(t) == ()
+
+
+def test_reconstruction_builds_no_fraction(monkeypatch):
+    inside = [False]
+    built = []
+    new = Fraction.__new__
+    reconstruct = tree_module._reconstruct
+
+    def counting_new(cls, *args, **kwargs):
+        if inside[0]:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def watched(*args):
+        inside[0] = True
+        try:
+            return reconstruct(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(tree_module, "_reconstruct", watched)
+    for eps, pi in _seeded_functions(20):
+        tree_from_function(eps, pi)
+    # a straight line exercises the successor rule
+    tree_from_function("-++", PeriodicFunction((0, Fraction(-1, 2), Fraction(-3, 2)), -3))
+    assert built == []
+
+
+def test_zero_slope_heights_take_the_least_ready_vertex():
+    # Several vertices are ready at once; heights follow the least first.
+    t = PeriodicTree(
+        "-+-+-+",
+        [(1, 2, UP), (2, 3, DOWN), (3, 4, UP), (4, 5, DOWN), (5, 6, UP), (6, 7, DOWN)],
+    )
+    assert classify_slope(t) == ZERO
+    base = synthesize_morphism(t, injective=False)
+    assert base == PeriodicFunction((0, 2, 1, 4, 3, 5), 0)
+    assert in_region(t, base)
+
+
+def test_canonical_constructor_keeps_count_and_duplicate_checks(fig1):
+    assert PeriodicTree._canonical(fig1.eps, reversed(fig1.edges)) == fig1
+    with pytest.raises(ValueError, match="duplicate"):
+        PeriodicTree._canonical(fig1.eps, [fig1.edges[0]] * 2 + [fig1.edges[1]])
+    with pytest.raises(ValueError, match="expected 3"):
+        PeriodicTree._canonical(fig1.eps, fig1.edges[:2])
